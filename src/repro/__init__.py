@@ -13,7 +13,8 @@ Quickstart::
     g = erdos_renyi(27, p=0.15, seed=1)
     net = CongestNetwork(g)
     result = deterministic_apsp(net, g)
-    result.verify(g)          # exact vs centralized Dijkstra
+    # exact vs the Floyd–Warshall reference (pinned to Dijkstra in tests)
+    result.verify(g)
     print(result.rounds)      # CONGEST rounds charged
     print(result.log.render())  # per-step budget (Theorem 1.1)
 

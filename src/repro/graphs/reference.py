@@ -60,7 +60,11 @@ def single_source_shortest_paths(
 
 
 def all_pairs_shortest_paths(graph: Graph) -> np.ndarray:
-    """Dense ``n x n`` matrix of true distances ``δ(u, v)`` via Dijkstra."""
+    """Dense ``n x n`` matrix of true distances ``δ(u, v)`` via Dijkstra.
+
+    ``n`` pure-Python heaps: the oracle the tests pin the numpy
+    Floyd-Warshall reference (:func:`min_plus_closure`) against.
+    """
     n = graph.n
     out = np.full((n, n), math.inf)
     for s in range(n):
@@ -141,7 +145,10 @@ def min_plus_closure(mat: np.ndarray) -> np.ndarray:
 
     Used for the local Step 5 computation: every node closes the
     ``|Q| x |Q|`` blocker-to-blocker ``δ_h`` matrix locally (free local
-    computation in CONGEST).
+    computation in CONGEST).  Applied to :func:`adjacency_matrix` it is
+    the reference ``APSPResult.verify`` checks every result against:
+    on the dyadic weight grid it equals
+    :func:`all_pairs_shortest_paths` bit for bit.
     """
     out = mat.copy()
     n = out.shape[0]

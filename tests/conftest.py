@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Tuple
 
+import numpy as np
 import pytest
 
 from repro.congest import CongestNetwork
@@ -23,7 +24,7 @@ from repro.graphs import (
     ring_graph,
     star_of_paths,
 )
-from repro.graphs.reference import all_pairs_shortest_paths
+from repro.graphs.reference import adjacency_matrix, all_pairs_shortest_paths
 
 
 def make_graph(kind: str):
@@ -94,6 +95,43 @@ def reference_of(kind: str):
     if kind not in _ref_cache:
         _ref_cache[kind] = all_pairs_shortest_paths(graph_of(kind))
     return _ref_cache[kind]
+
+
+def corrupt_pred(result, graph, rule: str) -> None:
+    """Break ``result.pred`` in place so that exactly ``rule`` fails.
+
+    ``"mask"`` clears one routed pair; ``"non-edge"`` points it at a node
+    with no edge into the target; ``"not tight"`` at a real in-neighbour
+    off every shortest path; ``"cycle"`` turns a zero-weight edge into a
+    predecessor 2-cycle, which every per-edge rule accepts (the graph
+    needs an undirected zero-weight edge).
+    """
+    dist, pred, n = result.dist, result.pred, graph.n
+    w = adjacency_matrix(graph)
+    np.fill_diagonal(w, math.inf)
+    routed = [(x, t) for x in range(n) for t in range(n)
+              if x != t and math.isfinite(dist[x, t])]
+    if rule == "mask":
+        x, t = routed[0]
+        pred[x, t] = -1
+    elif rule == "non-edge":
+        x, t = routed[0]
+        pred[x, t] = next(v for v in range(n) if math.isinf(w[v, t]))
+    elif rule == "not tight":
+        x, t, p = next(
+            (x, t, p) for x, t in routed for p in range(n)
+            if math.isfinite(w[p, t]) and math.isfinite(dist[x, p])
+            and dist[x, p] + w[p, t] != dist[x, t]
+        )
+        pred[x, t] = p
+    elif rule == "cycle":
+        x, a, b = next(
+            (x, a, b) for x, a in routed for b in range(n)
+            if w[a, b] == 0 and w[b, a] == 0 and b != x
+        )
+        pred[x, a], pred[x, b] = b, a
+    else:
+        raise KeyError(rule)
 
 
 def collection_of(kind: str, h: int, orientation: str = "out"):

@@ -142,10 +142,4 @@ def test_all_algorithms_agree_property(n, seed):
     net = CongestNetwork(g)
     results = [algo(net, g).dist for _name, algo in ALGORITHMS[:3]]
     for other in results[1:]:
-        # Summation order differs between algorithms -> ulp-level noise.
-        assert np.allclose(
-            np.nan_to_num(results[0], posinf=-1.0),
-            np.nan_to_num(other, posinf=-1.0),
-            rtol=1e-12,
-            atol=1e-9,
-        )
+        assert np.array_equal(results[0], other)

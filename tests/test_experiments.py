@@ -17,6 +17,8 @@ from repro.experiments.executor import strip_timing
 from repro.experiments.runner import fault_plan_seed, scenario_seed
 from repro.experiments.spec import THREE_PHASE
 
+from conftest import corrupt_pred
+
 # ---------------------------------------------------------------------------
 # specs and hashing
 
@@ -208,6 +210,26 @@ def test_record_contents_and_verification():
     assert set(rec["step_rounds"]) == set(rec["step_congestion"])
     assert rec["timing"]["wall_s"] > 0
     json.dumps(rec)  # JSON-safe end to end
+
+
+@pytest.mark.parametrize("faults", ["none", "drop"])
+@pytest.mark.parametrize("rule", ["not tight", "cycle"])
+def test_run_scenario_verifies_the_predecessor_plane(monkeypatch, rule, faults):
+    """Sweep records (and faulted baselines) check what ``/path`` serves."""
+    from repro.experiments import runner
+
+    execute = runner._execute
+
+    def corrupted(spec, graph, net):
+        result = execute(spec, graph, net)
+        corrupt_pred(result, graph, rule)
+        return result
+
+    monkeypatch.setattr(runner, "_execute", corrupted)
+    spec = ScenarioSpec(family="er", n=16, algorithm="det-n43", seed=1,
+                        weights="zero", faults=faults)
+    with pytest.raises(AssertionError, match=f"det-n43: {rule} rule"):
+        run_scenario(spec)
 
 
 def test_fast_engine_matches_strict_engine():

@@ -8,6 +8,7 @@ that silently queues over-budget messages would fabricate round counts.
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.pipeline import extend_h_hop, reversed_qsink
 from repro.pipeline.short_range import round_robin_pipeline
 from repro.primitives import bellman_ford
 
-from conftest import collection_of, graph_of
+from conftest import collection_of, corrupt_pred, graph_of
 
 
 class _OverTalker(NodeProgram):
@@ -146,8 +147,53 @@ def test_verify_paths_catches_corrupted_pred():
         v for v in range(g.n) if v not in g.und_neighbors(t) and v != t
     )
     result.pred[x, t] = bad
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=rf"non-edge rule: pred\[{x}, {t}\]"):
         result.verify_paths(g)
+
+
+# "non-edge" is the corruption of the test above.
+@pytest.mark.parametrize("rule", ["mask", "not tight", "cycle"])
+def test_verify_names_the_broken_pred_rule(rule):
+    from repro.apsp import deterministic_apsp
+
+    g = graph_of("er-zero")
+    result = deterministic_apsp(CongestNetwork(g), g)
+    result.verify(g)
+    corrupt_pred(result, g, rule)
+    with pytest.raises(AssertionError, match=f"det-n43: {rule} rule: pred"):
+        result.verify(g)
+
+
+@pytest.mark.parametrize("damage", [2.0 ** -40, math.inf, math.nan],
+                         ids=["2^-40", "inf", "nan"])
+def test_verify_rejects_any_distance_change(damage):
+    from repro.apsp import naive_bf_apsp
+
+    g = graph_of("er-sparse")
+    result = naive_bf_apsp(CongestNetwork(g), g)
+    x, t = 2, 5
+    want = float(result.dist[x, t])
+    result.dist[x, t] = want + damage
+    message = (f"naive-bf: dist[{x}, {t}] = {want + damage!r}, expected "
+               f"{want!r} (1 of {g.n * g.n} pairs differ)")
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        result.verify(g)
+
+
+def test_verify_checks_plane_shapes_and_skips_missing_pred():
+    from repro.apsp import naive_bf_apsp
+
+    g = graph_of("er-sparse")
+    result = naive_bf_apsp(CongestNetwork(g), g)
+    pred = result.pred
+    result.pred = None
+    result.verify(g)  # distances alone
+    result.pred = pred[:, :-1]
+    with pytest.raises(AssertionError, match="predecessor plane has shape"):
+        result.verify(g)
+    result.dist = result.dist[:-1]
+    with pytest.raises(AssertionError, match="distance plane has shape"):
+        result.verify(g)
 
 
 def test_bf_on_disconnected_communication_graph():

@@ -8,8 +8,9 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.experiments import GRAPH_FAMILIES, WEIGHT_MODELS, make_graph
 from repro.graphs import erdos_renyi, grid2d, path_graph
 from repro.graphs.reference import (
     adjacency_matrix,
@@ -144,13 +145,42 @@ def test_adjacency_matrix_shape():
 def test_min_plus_closure_is_apsp_on_weight_matrix():
     g = erdos_renyi(14, p=0.3, seed=8)
     closure = min_plus_closure(adjacency_matrix(g))
-    assert np.allclose(closure, all_pairs_shortest_paths(g))
+    assert np.array_equal(closure, all_pairs_shortest_paths(g))
 
 
 def test_min_plus_closure_idempotent():
     g = erdos_renyi(10, p=0.4, seed=3)
     c1 = min_plus_closure(adjacency_matrix(g))
-    assert np.allclose(min_plus_closure(c1), c1)
+    assert np.array_equal(min_plus_closure(c1), c1)
+
+
+#: Every (family, weight model) pair ``make_graph`` accepts; the zero-weight
+#: models exist only for the Erdos-Renyi families.
+FAMILY_WEIGHTS = [
+    (family, weights)
+    for family in GRAPH_FAMILIES
+    for weights in WEIGHT_MODELS
+    if "zero_frac" not in WEIGHT_MODELS[weights] or family.startswith("er")
+]
+
+
+@given(case=st.sampled_from(FAMILY_WEIGHTS), n=st.integers(4, 40),
+       seed=st.integers(0, 1000))
+@example(case=("er-directed", "zero"), n=24, seed=3)
+@example(case=("er-directed", "pareto-zero"), n=24, seed=5)
+@example(case=("er", "pareto-zero"), n=32, seed=7)
+@example(case=("er", "near-tie"), n=32, seed=2)
+@example(case=("layered", "pareto"), n=24, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_floyd_warshall_is_bit_identical_to_dijkstra(case, n, seed):
+    """The verification reference equals per-source Dijkstra bit for bit.
+
+    Weights sit on the dyadic 2^-16 grid, so Floyd-Warshall's different
+    summation order cannot change a single distance.
+    """
+    g = make_graph(case[0], n, seed, case[1])
+    fw = min_plus_closure(adjacency_matrix(g))
+    assert np.array_equal(fw, all_pairs_shortest_paths(g)), case
 
 
 @given(
