@@ -344,6 +344,49 @@ class _CompressedBellmanFord(CompressedPhase):
         return self.labels, self.parents
 
 
+_NO_CANDIDATE = np.iinfo(np.int64).max
+
+
+def _first_per_receiver(g, idx, size):
+    """Receivers of candidates ``idx`` and each receiver's first candidate.
+
+    ``g`` maps candidates to receivers in ``range(size)``; ``idx`` is a
+    subset of candidate indices.  Returns ``(receivers, first)`` with the
+    receivers ascending and ``first[i]`` the least index in ``idx`` whose
+    receiver is ``receivers[i]`` — a segmented minimum through one
+    ``np.minimum.at`` scatter, linear in ``len(idx)`` plus one pass over
+    ``size``.
+    """
+    first = np.full(size, _NO_CANDIDATE, dtype=np.int64)
+    np.minimum.at(first, g[idx], idx)
+    receivers = np.flatnonzero(first != _NO_CANDIDATE)
+    return receivers, first[receivers]
+
+
+def _lex_min_per_receiver(g, w, hops, tb, size):
+    """Per receiver, the first candidate with the least ``(w, hops, tb)``.
+
+    Candidate ``i`` offers the label ``(w[i], hops[i], tb[i])`` to
+    receiver ``g[i]``.  Returns ``(receivers, winners)``: the receivers
+    ascending, and for each the least candidate index among those whose
+    label is lexicographically minimal — what a stable sort by
+    ``(g, w, hops, tb)`` would put first.  Computed as a cascade of
+    segmented minima (weight, then hops among the weight ties, then tb
+    among those, then the index), so the cost is linear in the
+    candidates plus one pass over ``size``, with no sort.
+    """
+    min_w = np.full(size, np.inf)
+    np.minimum.at(min_w, g, w)
+    tied = np.flatnonzero(w == min_w[g])
+    for key in (hops, tb):
+        key_t = key[tied]
+        g_t = g[tied]
+        min_k = np.full(size, _NO_CANDIDATE, dtype=np.int64)
+        np.minimum.at(min_k, g_t, key_t)
+        tied = tied[key_t == min_k[g_t]]
+    return _first_per_receiver(g, tied, size)
+
+
 class _BatchedBellmanFordSolver:
     """Lockstep multi-source replay of `_CompressedBellmanFord`.
 
@@ -356,6 +399,12 @@ class _BatchedBellmanFordSolver:
     batching amortizes the per-round numpy fixed cost over every source
     still running, which is where the sequential replay spends most of
     its time in Steps 1/3/7.
+
+    Each round is sort-free: the announcements are gathered from the CSR
+    arrays, screened against the round-start weight gates, and the
+    survivors reduced to one winner per receiver by a segmented minimum
+    (`_lex_min_per_receiver`), so a round costs time linear in its
+    candidates plus a constant number of passes over the ``B·n`` state.
     """
 
     def __init__(
@@ -446,34 +495,32 @@ class _BatchedBellmanFordSolver:
                 break  # no sender has out-edges: nothing can ever improve
 
             # CSR gather of every announcement this round, then the
-            # candidate labels exactly as each receiver would build them.
-            excl = np.concatenate(([0], np.cumsum(degs)[:-1]))
-            sel = np.repeat(starts - excl, degs) + np.arange(total)
-            dsts = dst_arr[sel]
-            bs_rep = np.repeat(bs, degs)
-            g_dst = bs_rep * n + dsts
+            # candidate weights exactly as each receiver would build them;
+            # the integer parts of the label are only built for the gate
+            # survivors, each located by its sender's position in ``gs``.
+            ends = np.cumsum(degs)
+            sel = np.repeat(starts - (ends - degs), degs) + np.arange(total)
+            g_dst = np.repeat(gs - vs, degs) + dst_arr[sel]
             cand_w = np.repeat(label0[gs], degs) + w_arr[sel]
             alive = np.flatnonzero(cand_w <= gate[g_dst])
             if not len(alive):
                 gs = alive
                 continue
+            pos_a = np.searchsorted(ends, alive, side="right")
+            snd_a = gs[pos_a]
+            cw_a = cand_w[alive]
+            hops_a = lab_hops[snd_a] + 1
+            tb_a = lab_tb[snd_a] + tb_arr[sel[alive]]
+            g_a = g_dst[alive]
 
             # Winner reduction: within a round only the first-occurring
             # lexicographically-minimal candidate per receiver can change
             # the receiver's state — every other candidate loses
             # ``cand < label`` to it (the mid-round gate only ever drops
             # losers) — so the round's effect is exactly "winner vs
-            # round-start label", evaluated vectorized below.
-            cw_a = cand_w[alive]
-            hops_a = np.repeat(lab_hops[gs] + 1, degs)[alive]
-            tb_a = np.repeat(lab_tb[gs], degs)[alive] + tb_arr[sel[alive]]
-            g_a = g_dst[alive]
-            order = np.lexsort((alive, tb_a, hops_a, cw_a, g_a))
-            g_sorted = g_a[order]
-            firsts = np.ones(len(order), dtype=bool)
-            firsts[1:] = g_sorted[1:] != g_sorted[:-1]
-            win = order[firsts]
-            gw = g_a[win]
+            # round-start label".  The winners come from a segmented
+            # minimum over the receivers (no sort), in ascending ``g``.
+            gw, win = _lex_min_per_receiver(g_a, cw_a, hops_a, tb_a, nb * n)
             cww, hw, tw = cw_a[win], hops_a[win], tb_a[win]
             w_u = label0[gw]
             h_u = lab_hops[gw]
@@ -482,36 +529,32 @@ class _BatchedBellmanFordSolver:
                 (cww == w_u) & ((hw < h_u) | ((hw == h_u) & (tw < t_u)))
             )
             gimp = gw[better]
-            pos_rep = np.repeat(np.arange(len(gs), dtype=np.int64), degs)
 
             if fill_equal:
                 # Parent fill (Step 7 routing): among receivers whose
-                # label does not improve this round and whose parent is
-                # still unset, the first in-order candidate whose
-                # fingerprint matches the round-start label records the
-                # predecessor edge (improved receivers get their parent
-                # from the winner, exactly as the sequential loop's last
-                # strict improvement would).
+                # parent is still unset, the first in-order candidate
+                # whose fingerprint matches the round-start label records
+                # the predecessor edge.  Receivers that improve this round
+                # get their parent from the winner below, which overwrites
+                # the fill exactly as the sequential loop's last strict
+                # improvement would.
                 lab0_r = label0[g_a]
                 eq = (
                     (hops_a == lab_hops[g_a])
                     & (tb_a == lab_tb[g_a])
                     & (np.abs(cw_a - lab0_r)
                        <= 1e-9 * (1.0 + np.abs(lab0_r)))
+                    & (parent_flat[g_a] < 0)
                 )
                 if eq.any():
-                    improved_set = set(gimp.tolist())
-                    cand_idx = alive[eq]
-                    pos_f = pos_rep[cand_idx].tolist()
-                    g_f = g_dst[cand_idx].tolist()
-                    vs_l = vs.tolist()
-                    for pos, g in zip(pos_f, g_f):
-                        if parent_flat[g] < 0 and g not in improved_set:
-                            parent_flat[g] = vs_l[pos]
+                    g_f, first = _first_per_receiver(
+                        g_a, np.flatnonzero(eq), nb * n
+                    )
+                    parent_flat[g_f] = vs[pos_a[first]]
 
             if len(gimp):
-                pos_w = pos_rep[alive][win][better]
-                bud_send = budget[gs][pos_w]  # round-start sender budgets
+                pos_w = pos_a[win[better]]
+                bud_send = budget[gs[pos_w]]  # round-start sender budgets
                 cwi = cww[better]
                 label0[gimp] = cwi
                 lab_hops[gimp] = hw[better]
@@ -548,9 +591,10 @@ class _BatchedBellmanFordSolver:
                 per_edge_sent=per_edge,
             ))
             self.labels.append([
-                INF_COST if lab0_l[base + v] == inf
-                else (lab0_l[base + v], hops_l[base + v], tb_l[base + v])
-                for v in range(n)
+                INF_COST if w == inf else (w, k, t)
+                for w, k, t in zip(lab0_l[base:base + n],
+                                   hops_l[base:base + n],
+                                   tb_l[base:base + n])
             ])
             self.parents.append(parent_flat[base:base + n].tolist())
         self._solved = True
@@ -593,8 +637,17 @@ def bellman_ford_many(
     lockstep :class:`_BatchedBellmanFordSolver` pass — per-phase results
     and :class:`RoundStats` stay bit-identical to the per-source runs,
     phases are still charged one by one in order — otherwise it simply
-    loops :func:`bellman_ford`.
+    loops :func:`bellman_ford`.  ``inits_per_source`` and ``labels``,
+    when given, must hold one entry per source; a length mismatch raises
+    :class:`ValueError` on every engine.
     """
+    for name, per_source in (("inits_per_source", inits_per_source),
+                             ("labels", labels)):
+        if per_source is not None and len(per_source) != len(sources):
+            raise ValueError(
+                f"bellman_ford_many: {name} has {len(per_source)} entries "
+                f"for {len(sources)} sources"
+            )
     if h is None:
         h = graph.n - 1
     if inits_per_source is None:

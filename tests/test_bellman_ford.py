@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.congest import CongestNetwork
-from repro.graphs import erdos_renyi, path_graph
+from repro.graphs import erdos_renyi, layered_digraph, path_graph
 from repro.graphs.reference import (
     all_pairs_shortest_paths,
     h_hop_distances,
@@ -17,6 +18,11 @@ from repro.graphs.reference import (
 )
 from repro.graphs.spec import INF_COST, ZERO_COST
 from repro.primitives import bellman_ford, notify_children
+from repro.primitives.bellman_ford import (
+    _first_per_receiver,
+    _lex_min_per_receiver,
+    bellman_ford_many,
+)
 
 from conftest import GRAPH_KINDS, graph_of, reference_of
 
@@ -153,3 +159,105 @@ def test_h_hop_property(n, seed, h):
         assert ok, (v, res.dist[v], mat[0, v])
         if res.label[v] != INF_COST:
             assert res.label[v][1] <= h
+
+
+ENGINE_MODES = {
+    "strict": {},
+    "fast": {"strict": False},
+    "compressed-phase": {"compress": True, "batch": False},
+    "batched": {"compress": True},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
+@pytest.mark.parametrize("arg,count", [
+    ("inits_per_source", 2), ("inits_per_source", 4),
+    ("labels", 2), ("labels", 4),
+])
+def test_bellman_ford_many_rejects_mismatched_lengths(mode, arg, count):
+    g = path_graph(6, seed=0)
+    net = CongestNetwork(g, **ENGINE_MODES[mode])
+    values = {
+        "inits_per_source": [{0: ZERO_COST}] * count,
+        "labels": [f"bf-{i}" for i in range(count)],
+    }[arg]
+    match = rf"{arg} has {count} entries for 3 sources"
+    with pytest.raises(ValueError, match=match):
+        bellman_ford_many(net, g, [0, 2, 4], h=2, **{arg: values})
+    assert net.total.rounds == 0  # rejected before any phase ran
+
+
+def test_bellman_ford_many_batched_sinks_send_nothing():
+    """Sources without out-edges: the batched solver stops after round 0."""
+    g = layered_digraph(3, 3, seed=0)
+    sinks = [v for v in range(g.n) if not g.out_edges(v)]
+    assert sinks
+    net_m = CongestNetwork(g, track_edges=True)
+    net_b = CongestNetwork(g, track_edges=True, compress=True)
+    res_m = bellman_ford_many(net_m, g, sinks, h=3)
+    res_b = bellman_ford_many(net_b, g, sinks, h=3)
+    for a, b in zip(res_m, res_b):
+        assert a.label == b.label and a.parent == b.parent
+        assert a.rounds.messages == b.rounds.messages == 0
+        assert a.rounds.rounds == b.rounds.rounds
+
+
+def _lexsort_winners(g, w, hops, tb):
+    """The sort-based winner selection the segmented minimum replaced."""
+    alive = np.arange(len(g))
+    order = np.lexsort((alive, tb, hops, w, g))
+    g_sorted = g[order]
+    firsts = np.ones(len(order), dtype=bool)
+    firsts[1:] = g_sorted[1:] != g_sorted[:-1]
+    win = order[firsts]
+    return g[win], win
+
+
+# Keys from tiny ranges so that ties on weight, hops and tie-break all
+# dominate; -0.0 and inf are legal IEEE weights the reduction must order
+# exactly as the sort did.
+_candidates = st.integers(1, 5).flatmap(lambda size: st.tuples(
+    st.just(size),
+    st.lists(st.tuples(
+        st.integers(0, size - 1),
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    ), max_size=40),
+))
+
+
+@given(case=_candidates)
+@example(case=(3, []))
+@example(case=(1, [(0, 1.0, 1, 1)] * 4))
+@example(case=(1, [(0, 2.0, 0, 0), (0, 1.0, 2, 2), (0, 1.0, 1, 2),
+                   (0, 1.0, 1, 0), (0, 1.0, 1, 0)]))
+@settings(max_examples=300, deadline=None)
+def test_lex_min_per_receiver_matches_lexsort(case):
+    size, rows = case
+    g = np.array([r[0] for r in rows], dtype=np.int64)
+    w = np.array([r[1] for r in rows], dtype=np.float64)
+    hops = np.array([r[2] for r in rows], dtype=np.int64)
+    tb = np.array([r[3] for r in rows], dtype=np.int64)
+    receivers, winners = _lex_min_per_receiver(g, w, hops, tb, size)
+    ref_receivers, ref_winners = _lexsort_winners(g, w, hops, tb)
+    assert receivers.tolist() == ref_receivers.tolist()
+    assert winners.tolist() == ref_winners.tolist()
+
+
+@given(
+    size=st.integers(1, 5),
+    rows=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=40),
+)
+@example(size=1, rows=[])
+@example(size=1, rows=[(0, False), (0, True), (0, True)])
+@settings(max_examples=200, deadline=None)
+def test_first_per_receiver_matches_in_order_scan(size, rows):
+    g = np.array([r[0] % size for r in rows], dtype=np.int64)
+    idx = np.array([i for i, r in enumerate(rows) if r[1]], dtype=np.int64)
+    receivers, first = _first_per_receiver(g, idx, size)
+    ref = {}
+    for i in idx.tolist():
+        ref.setdefault(int(g[i]), i)
+    assert receivers.tolist() == sorted(ref)
+    assert first.tolist() == [ref[r] for r in sorted(ref)]

@@ -66,6 +66,21 @@ def cases(sizes=(17,)):
     return out
 
 
+#: Tie-heavy weight models for the batched Bellman-Ford winner reduction:
+#: uniform weights almost never tie, these make the (weight, hops, tb)
+#: tie-breaks decide most rounds.
+TIE_WEIGHTS = ["unit", "zero", "near-tie"]
+
+
+def weighted_cases():
+    """``cases()`` on uniform weights plus er-s1 on every tie-heavy model."""
+    out = [pytest.param(*p.values, "uniform", marks=p.marks, id=p.id)
+           for p in cases()]
+    out += [pytest.param("er", 1, 17, w, id=f"er-s1-n17-{w}")
+            for w in TIE_WEIGHTS]
+    return out
+
+
 def nets(graph, track_edges=False):
     """A (message-level oracle, compressed) network pair."""
     return (
@@ -426,10 +441,10 @@ def test_reversed_qsink_equivalent(family, seed, n):
     assert_stats_equal(net_m.total, net_c.total, "qsink network totals")
 
 
-@pytest.mark.parametrize("family,seed,n", cases())
-def test_bellman_ford_many_equivalent(family, seed, n):
+@pytest.mark.parametrize("family,seed,n,weights", weighted_cases())
+def test_bellman_ford_many_equivalent(family, seed, n, weights):
     """Batched lockstep solver vs per-source compressed vs the engine."""
-    graph = make_graph(family, n, seed)
+    graph = make_graph(family, n, seed, weights)
     rng = random.Random(seed + n)
     srcs = sorted(rng.sample(range(graph.n), min(6, graph.n)))
     for reverse in (False, True):
@@ -448,10 +463,10 @@ def test_bellman_ford_many_equivalent(family, seed, n):
         assert_stats_equal(net_m.total, net_b.total, "bf-many totals")
 
 
-@pytest.mark.parametrize("family,seed,n", cases())
-def test_bellman_ford_many_multi_init_equivalent(family, seed, n):
+@pytest.mark.parametrize("family,seed,n,weights", weighted_cases())
+def test_bellman_ford_many_multi_init_equivalent(family, seed, n, weights):
     """The Step-7 shape: per-source inits + equal-parent fill, batched."""
-    graph = make_graph(family, n, seed)
+    graph = make_graph(family, n, seed, weights)
     rng = random.Random(seed * 5 + n)
     srcs = sorted(rng.sample(range(graph.n), min(4, graph.n)))
     inits = []
