@@ -26,7 +26,8 @@ import numpy as np
 from repro.congest.compressed import (
     CompressedPhase,
     PhaseSchedule,
-    collection_arrays,
+    TreeStack,
+    edge_counts,
     live_child_counts,
     tree_arrays,
 )
@@ -125,100 +126,99 @@ class _CompressedViCount(CompressedPhase):
 class _CompressedViCountBatch(CompressedPhase):
     """Every tree's beta flood (Algorithms 3/4) evaluated as one phase.
 
-    The stacked counterpart of `_CompressedViCount`: the per-tree
-    schedules sum (rounds add per tree with a live root and at least one
-    live internal node), and the synchronized top-down wave runs level by
-    level over the ``(T, n)`` arrays for all trees at once.
+    The stacked counterpart of `_CompressedViCount` over a
+    :class:`~repro.congest.compressed.TreeStack`: the per-tree schedules
+    sum (rounds add per tree with at least one live non-root node), and
+    the synchronized top-down wave runs level by level over the view's
+    precomputed depth order, filtered to live nodes.
     """
 
-    def __init__(self, coll: CSSSPCollection, xs: Sequence[int],
-                 vi: Set[int], label: str) -> None:
-        self.coll = coll
-        self.xs = xs
+    def __init__(self, view: TreeStack, vi: Set[int], label: str) -> None:
+        self.view = view
         self.vi = vi
         self.label = label
-        self._parent, self._depth, self._live = collection_arrays(coll, xs)
-        n = coll.n
-        kid_rows, kid_cols = np.nonzero(self._live & (self._parent >= 0))
-        self._kid_rows, self._kid_cols = kid_rows, kid_cols
-        flat = kid_rows * n + self._parent[kid_rows, kid_cols]
-        lc = np.bincount(flat, minlength=len(xs) * n).reshape(len(xs), n)
-        self._lc = lc
-        roots = np.asarray([coll.trees[x].root for x in xs], dtype=np.int64)
-        root_live = self._live[np.arange(len(xs)), roots]
-        self._internal = self._live & (lc > 0)
-        self._included = self._internal.any(axis=1) & root_live
+        self._pos, self._levels = view.live_kids()
 
     def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        internal = self._internal & self._included[:, None]
-        rows, cols = np.nonzero(internal)
-        if not len(rows):
+        view, pos = self.view, self._pos
+        if not len(pos):
             return PhaseSchedule()
-        n = self.coll.n
-        lc = self._lc
-        depth = self._depth
-        masked = np.where(internal, depth, -1)
-        rounds = int((masked.max(axis=1)[self._included] + 1).sum())
-        sends = lc[rows, cols]
-        per_node_counts = np.bincount(cols, weights=sends, minlength=n)
+        n = view.n
+        # A tree's wave ends one round after its deepest live internal
+        # node fires, i.e. at the depth of its deepest live non-root node.
+        deepest = np.zeros(len(view.xs), dtype=np.int64)
+        np.maximum.at(deepest, view.kid_rows[pos], view.kid_depth[pos])
+        senders = view.kid_pcols[pos]
+        per_node_counts = np.bincount(senders, minlength=n)
         idx = np.flatnonzero(per_node_counts)
-        per_node = dict(zip(
-            idx.tolist(), per_node_counts[idx].astype(np.int64).tolist()
-        ))
         per_edge = None
         if net.track_edges:
-            inc = self._included[self._kid_rows]
-            krows = self._kid_rows[inc]
-            kcols = self._kid_cols[inc]
-            keys = self._parent[krows, kcols] * n + kcols
-            uniq, kcounts = np.unique(keys, return_counts=True)
-            per_edge = {
-                (int(k) // n, int(k) % n): int(c)
-                for k, c in zip(uniq, kcounts)
-            }
+            per_edge = edge_counts(senders, view.kid_cols[pos], n)
         return PhaseSchedule(
-            rounds=rounds,
-            messages=int(sends.sum()),
-            per_node_sent=per_node,
+            rounds=int(deepest.sum()),
+            messages=len(pos),
+            per_node_sent=dict(zip(idx.tolist(),
+                                   per_node_counts[idx].tolist())),
             per_edge_sent=per_edge,
         )
 
-    def evaluate(self, net: CongestNetwork) -> Dict[int, Dict[int, int]]:
-        coll = self.coll
-        n = coll.n
-        h = coll.h
-        parent, depth, live = self._parent, self._depth, self._live
+    def evaluate(self, net: CongestNetwork) -> "np.ndarray":
+        view, pos, levels = self.view, self._pos, self._levels
+        n = view.n
         in_vi = np.zeros(n, dtype=np.int64)
         for v in self.vi:
             if 0 <= v < n:
                 in_vi[v] = 1
-        beta = np.zeros(parent.shape, dtype=np.int64)
-        rows, cols = np.nonzero(live & (depth >= 1))
-        if len(rows):
-            # Top-down wave: one assignment per depth level over
-            # depth-sorted coordinates (levels never exceed h).
-            d = depth[rows, cols]
-            order = np.argsort(d, kind="stable")
-            rs, cs = rows[order], cols[order]
-            ds = d[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(ds)) + 1, [len(ds)])
+        beta = np.zeros(view.depth.size, dtype=np.int64)
+        kid, par, cols = view.kid[pos], view.par[pos], view.kid_cols[pos]
+        for a, b in zip(levels[:-1].tolist(), levels[1:].tolist()):
+            # Top-down: level d reads level d-1 (the root slot stays 0).
+            beta[kid[a:b]] = beta[par[a:b]] + in_vi[cols[a:b]]
+        leaves = view.live() & (view.depth == view.h)
+        return np.where(leaves, beta.reshape(view.depth.shape), -1)
+
+
+def leaf_vi_counts(
+    net: CongestNetwork,
+    coll: CSSSPCollection,
+    vi: Set[int],
+    view: TreeStack,
+    label: str = "compute-pij",
+    compress: Optional[bool] = None,
+) -> Tuple["np.ndarray", RoundStats]:
+    """:func:`compute_vi_counts` as one ``(T, n)`` array over ``view``'s rows.
+
+    ``beta[i, leaf]`` is the count for every live depth-``h`` leaf of tree
+    ``view.xs[i]`` and -1 everywhere else.  The batched compressed engine
+    evaluates all trees as one phase over ``view``; the other engines run
+    one flood per tree and fill the rows.
+    """
+    if net.use_compressed_batched(compress) and view.xs:
+        beta, stats = net.run_compressed(
+            _CompressedViCountBatch(view, vi, label))
+        stats.label = label
+        return beta, stats
+    compressed = net.use_compressed(compress)
+    total = RoundStats(label=label)
+    beta = np.full(view.depth.shape, -1, dtype=np.int64)
+    for i, x in enumerate(view.xs):
+        t = coll.trees[x]
+        if compressed:
+            per_leaf, stats = net.run_compressed(
+                _CompressedViCount(t, coll.h, vi, f"{label}({x})")
             )
-            for a, b in zip(starts[:-1], starts[1:]):
-                r, c = rs[a:b], cs[a:b]
-                beta[r, c] = beta[r, parent[r, c]] + in_vi[c]
-        out: Dict[int, Dict[int, int]] = {}
-        lrows, lcols = np.nonzero(live & (depth == h))
-        bounds = np.searchsorted(lrows, np.arange(len(self.xs) + 1))
-        col_l = lcols.tolist()
-        beta_l = beta[lrows, lcols].tolist()
-        for i, x in enumerate(self.xs):
-            if not coll.trees[x].live(coll.trees[x].root):
-                out[x] = {}
-                continue
-            a, b = bounds[i], bounds[i + 1]
-            out[x] = dict(zip(col_l[a:b], beta_l[a:b]))
-        return out
+            total.merge(stats)
+        else:
+            programs = [_ViCountProgram(v, t, v in vi) for v in range(coll.n)]
+            total.merge(net.run(programs, label=f"{label}({x})"))
+            per_leaf = {
+                v: programs[v].beta
+                for v in range(coll.n)
+                if t.depth[v] == coll.h and not t.removed[v]
+            }
+        if per_leaf:
+            beta[i, list(per_leaf)] = list(per_leaf.values())
+    return beta, total
 
 
 def compute_vi_counts(
@@ -235,33 +235,17 @@ def compute_vi_counts(
     every live leaf at depth ``h``.  One ``O(h)``-round flood per tree
     (Algorithms 3/4; Lemmas 3.3/3.4), ``O(|S| \\cdot h)`` in total.
     ``compress`` selects the round-compressed execution mode (default:
-    the network's setting).
+    the network's setting).  The Algorithm-2 driver reads the same counts
+    as an array through :func:`leaf_vi_counts`.
     """
-    if net.use_compressed_batched(compress) and coll.trees:
-        xs = list(coll.trees)
-        phase = _CompressedViCountBatch(coll, xs, vi, label)
-        beta, stats = net.run_compressed(phase)
-        stats.label = label
-        return beta, stats
-    compressed = net.use_compressed(compress)
-    total = RoundStats(label=label)
-    beta: Dict[int, Dict[int, int]] = {}
-    for x, t in coll.trees.items():
-        if compressed:
-            per_leaf, stats = net.run_compressed(
-                _CompressedViCount(t, coll.h, vi, f"{label}({x})")
-            )
-            total.merge(stats)
-            beta[x] = per_leaf
-            continue
-        programs = [_ViCountProgram(v, t, v in vi) for v in range(coll.n)]
-        total.merge(net.run(programs, label=f"{label}({x})"))
-        beta[x] = {
-            v: programs[v].beta
-            for v in range(coll.n)
-            if t.depth[v] == coll.h and not t.removed[v]
-        }
-    return beta, total
+    view = TreeStack(coll)
+    counts, stats = leaf_vi_counts(net, coll, vi, view, label, compress)
+    leaves = view.leaf_lists(view.live() & (view.depth == coll.h))
+    beta = {
+        x: dict(zip(leaves[x], counts[i, leaves[x]].tolist()))
+        for i, x in enumerate(view.xs)
+    }
+    return beta, stats
 
 
 def paths_with_min_count(
@@ -436,5 +420,6 @@ __all__ = [
     "collect_ancestors",
     "compute_vi_counts",
     "count_paths",
+    "leaf_vi_counts",
     "paths_with_min_count",
 ]

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.congest.compressed import TreeStack
 from repro.congest.metrics import PhaseLog, RoundStats
 from repro.congest.network import CongestNetwork
 from repro.csssp.collection import CSSSPCollection
@@ -36,12 +37,10 @@ from repro.csssp.pruning import remove_subtrees_sequential
 from repro.blocker.helpers import (
     broadcast_selection_stats,
     collect_ancestors,
-    compute_vi_counts,
-    count_paths,
-    paths_with_min_count,
+    leaf_vi_counts,
 )
 from repro.blocker.sample_space import AffineSampleSpace
-from repro.blocker.scores import compute_score_ij, compute_scores
+from repro.blocker.scores import compute_scores, score_ij_rows
 from repro.blocker.verify import is_blocker_set
 from repro.primitives.bfs import BFSTree, build_bfs_tree
 from repro.primitives.broadcast import broadcast_from_root, gather_and_broadcast
@@ -273,6 +272,7 @@ def run_blocker_algorithm(
     """
     original = coll
     coll = coll.copy()
+    view = TreeStack(coll)  # the copy's arrays; every removal goes through it
     eps, delta = params.eps, params.delta
     rng = random.Random(params.seed)
     log = PhaseLog()
@@ -283,7 +283,7 @@ def run_blocker_algorithm(
     log.add("bfs-tree", stats)
 
     score, _per_tree, stats = compute_scores(net, coll, label="scores",
-                                             per_tree=False)
+                                             per_tree=False, view=view)
     log.add("initial-scores", stats)
 
     while True:
@@ -297,33 +297,27 @@ def run_blocker_algorithm(
         vi_set = set(vi)
 
         while True:  # phase loop within stage_i
-            beta, stats = compute_vi_counts(net, coll, vi_set, label="compute-pi")
+            # beta[i, leaf]: V_i count of tree view.xs[i]'s path to a live
+            # depth-h leaf, -1 off those leaves.
+            beta, stats = leaf_vi_counts(net, coll, vi_set, view,
+                                         label="compute-pi")
             log.add("compute-pi", stats)
-            local_max = [0.0] * net.n
-            for x, leaves in beta.items():
-                for leaf, b in leaves.items():
-                    local_max[leaf] = max(local_max[leaf], float(b))
+            local_max = beta.max(axis=0, initial=0).astype(float).tolist()
             max_beta, stats = _aggregate_max(net, bfs, local_max, "max-beta")
             log.add("max-beta", stats)
             if max_beta < 1:
                 break  # P_i exhausted for this V_i: leave the stage
             phase_j = _stage_of(max_beta, eps)
-            pij_threshold = (1.0 + eps) ** (phase_j - 1)
-            pij_leaf = paths_with_min_count(beta, pij_threshold)
-            pij_size = count_paths(pij_leaf)
+            pij = beta >= (1.0 + eps) ** (phase_j - 1)
+            pij_size = int(pij.sum())
             if pij_size == 0:  # pragma: no cover - max_beta guard covers this
                 break
-            pi_leaf = paths_with_min_count(beta, 1)
 
             # ---- one selection step (Steps 7-16) -----------------------
-            score_ij, stats = compute_score_ij(net, coll, pij_leaf)
+            score_ij, stats = score_ij_rows(net, coll, view, pij)
             log.add("score-ij", stats)
-            pij_counts = [0] * net.n
-            for x, leaves in pij_leaf.items():
-                for leaf in leaves:
-                    pij_counts[leaf] += 1
             scores_view, pij_total, stats = broadcast_selection_stats(
-                net, bfs, score_ij, pij_counts
+                net, bfs, score_ij, pij.sum(axis=0).tolist()
             )
             log.add("selection-stats", stats)
             assert pij_total == pij_size, "leaf path counts diverged"
@@ -351,6 +345,7 @@ def run_blocker_algorithm(
                     )
                 )
             else:
+                pij_leaf = view.leaf_lists(pij)
                 ctx = SelectionContext(
                     net=net,
                     coll=coll,
@@ -359,7 +354,7 @@ def run_blocker_algorithm(
                     vi_set=vi_set,
                     stage_i=stage_i,
                     phase_j=phase_j,
-                    pi_leaf=pi_leaf,
+                    pi_leaf=view.leaf_lists(beta >= 1),
                     pij_leaf=pij_leaf,
                     pij_size=pij_size,
                     params=params,
@@ -408,10 +403,10 @@ def run_blocker_algorithm(
                     blockers.append(v)
 
             # Steps 15-16: cleanup and recompute.
-            stats = remove_subtrees_sequential(net, coll, added)
+            stats = remove_subtrees_sequential(net, coll, added, view=view)
             log.add("remove-subtrees", stats)
             score, _per_tree, stats = compute_scores(net, coll, label="rescore",
-                                                     per_tree=False)
+                                                     per_tree=False, view=view)
             log.add("rescore", stats)
             vi, stats = _broadcast_vi(
                 net, bfs, score, (1.0 + eps) ** (stage_i - 1)

@@ -23,7 +23,8 @@ import numpy as np
 from repro.congest.compressed import (
     CompressedPhase,
     PhaseSchedule,
-    collection_arrays,
+    TreeStack,
+    edge_counts,
     tree_arrays,
 )
 from repro.congest.metrics import RoundStats
@@ -138,113 +139,84 @@ class _CompressedSubtreeSumBatch(CompressedPhase):
     """All trees' subtree-sum convergecasts evaluated as one phase.
 
     Valid for integer-valued inputs only (float addition is exact in any
-    order, so the level-by-level ``np.add.at`` accumulation over the
-    stacked ``(T, n)`` arrays matches every engine fold) — which covers
-    all the batch call sites: leaf indicators (scores / score_ij) and
-    live counts (Algorithm 14).  The schedule is the sum of the per-tree
-    schedules, computed in one vectorized pass.
+    order, so the level-by-level ``np.add.at`` accumulation over a
+    :class:`~repro.congest.compressed.TreeStack` matches every engine
+    fold) — which covers all the batch call sites: leaf indicators
+    (scores / score_ij) and live counts (Algorithm 14).  The schedule is
+    the sum of the per-tree schedules, computed in one vectorized pass.
     """
 
-    def __init__(
-        self,
-        parent: "np.ndarray",
-        depth: "np.ndarray",
-        live: "np.ndarray",
-        h: int,
-        values: "np.ndarray",
-        label: str,
-    ) -> None:
-        self.h = h
+    def __init__(self, view: TreeStack, values: "np.ndarray",
+                 label: str) -> None:
+        self.view = view
         self.label = label
-        self._parent, self._depth, self._live = parent, depth, live
         self._values = values
-        self._senders = live & (parent >= 0)
+        self._pos, self._levels = view.live_kids()
         self._acc: Optional[np.ndarray] = None
 
     def schedule(self, net: CongestNetwork) -> PhaseSchedule:
-        senders, depth, parent = self._senders, self._depth, self._parent
-        n = senders.shape[1] if senders.ndim == 2 else 0
-        counts = senders.sum(axis=1)
-        total = int(counts.sum())
-        if not total:
+        view, pos = self.view, self._pos
+        if not len(pos):
             return PhaseSchedule()
-        # Per-tree rounds: h - (min sender depth) + 1, summed.
-        masked_depth = np.where(senders, depth, self.h + 1)
-        min_depth = masked_depth.min(axis=1)
-        has = counts > 0
-        rounds = int((self.h - min_depth[has] + 1).sum())
-        rows, cols = np.nonzero(senders)
+        n, h = view.n, view.h
+        # Per-tree rounds: h - (shallowest live sender depth) + 1, summed.
+        shallowest = np.full(len(view.xs), h + 1, dtype=np.int64)
+        np.minimum.at(shallowest, view.kid_rows[pos], view.kid_depth[pos])
+        has = shallowest <= h
+        rounds = int((h - shallowest[has] + 1).sum())
+        cols = view.kid_cols[pos]
         per_node_counts = np.bincount(cols, minlength=n)
         idx = np.flatnonzero(per_node_counts)
-        per_node = dict(zip(idx.tolist(), per_node_counts[idx].tolist()))
         per_edge = None
         if net.track_edges:
-            keys = cols * n + parent[rows, cols]
-            uniq, kcounts = np.unique(keys, return_counts=True)
-            per_edge = {
-                (int(k) // n, int(k) % n): int(c)
-                for k, c in zip(uniq, kcounts)
-            }
+            per_edge = edge_counts(cols, view.kid_pcols[pos], n)
         return PhaseSchedule(
             rounds=rounds,
-            messages=total,
-            per_node_sent=per_node,
+            messages=len(pos),
+            per_node_sent=dict(zip(idx.tolist(),
+                                   per_node_counts[idx].tolist())),
             per_edge_sent=per_edge,
         )
 
     def evaluate(self, net: CongestNetwork) -> "np.ndarray":
         if self._acc is not None:
             return self._acc
-        senders, depth, parent = self._senders, self._depth, self._parent
-        acc = np.where(self._live, self._values, 0.0)
+        view, pos, levels = self.view, self._pos, self._levels
+        acc = np.where(view.live(), self._values, 0.0)
         if not np.array_equal(acc, np.trunc(acc)):
             raise ValueError(
                 "batched subtree sums require integer-valued inputs "
                 "(float addition must be order-independent); use the "
                 "per-tree subtree_sums for general floats"
             )
-        # One bottom-up np.add.at per depth level, over depth-sorted
-        # sender coordinates (a single nonzero + argsort instead of a
-        # full-matrix mask per level).
-        rows, cols = np.nonzero(senders)
-        if len(rows):
-            d = depth[rows, cols]
-            order = np.argsort(-d, kind="stable")
-            rs, cs = rows[order], cols[order]
-            ds = d[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(ds)) + 1, [len(ds)])
-            )
-            for a, b in zip(starts[:-1], starts[1:]):
-                r, c = rs[a:b], cs[a:b]
-                np.add.at(acc, (r, parent[r, c]), acc[r, c])
+        # One bottom-up np.add.at per depth level, deepest first, over
+        # the view's precomputed depth order.
+        flat = acc.reshape(-1)
+        kid, par = view.kid[pos], view.par[pos]
+        bounds = levels.tolist()
+        for d in range(len(bounds) - 1, 0, -1):
+            a, b = bounds[d - 1], bounds[d]
+            if a < b:
+                np.add.at(flat, par[a:b], flat[kid[a:b]])
         self._acc = acc
         return acc
 
 
 def batched_subtree_sums(
     net: CongestNetwork,
-    coll: CSSSPCollection,
-    xs: Sequence[int],
+    view: TreeStack,
     values: "np.ndarray",
     label: str,
-    arrays: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None,
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", RoundStats]:
-    """One compressed phase covering ``subtree_sums`` on every tree in ``xs``.
+) -> Tuple["np.ndarray", RoundStats]:
+    """One compressed phase covering ``subtree_sums`` on every row of ``view``.
 
-    ``values`` is the raw ``(len(xs), n)`` input (masked to live nodes
-    internally, as the per-tree calls do).  Returns ``(acc, depth, live,
-    stats)`` with ``acc[i]`` the live-subtree sums of tree ``xs[i]`` —
+    ``values`` is the raw ``(T, n)`` input (masked to live nodes
+    internally, as the per-tree calls do).  Returns ``(acc, stats)`` with
+    ``acc[i]`` the live-subtree sums of tree ``view.xs[i]`` —
     bit-identical to the per-tree runs, whose merged stats equal
-    ``stats``.  Integer-valued inputs only (asserted).
+    ``stats``.  Integer-valued inputs only (checked).
     """
-    if arrays is None:
-        arrays = collection_arrays(coll, xs)
-    parent, depth, live = arrays
-    phase = _CompressedSubtreeSumBatch(parent, depth, live, coll.h, values,
-                                       label)
-    acc, stats = net.run_compressed(phase)
-    return acc, depth, live, stats
+    return net.run_compressed(_CompressedSubtreeSumBatch(view, values, label))
 
 
 def subtree_sums(
@@ -293,6 +265,7 @@ def compute_scores(
     label: str = "scores",
     compress: Optional[bool] = None,
     per_tree: bool = True,
+    view: Optional[TreeStack] = None,
 ) -> Tuple[List[float], Dict[int, List[float]], RoundStats]:
     """``score(v)`` for every node plus the per-tree leaf-count aggregates.
 
@@ -302,21 +275,20 @@ def compute_scores(
     maintains for the greedy baseline.  ``O(|S| \\cdot h)`` rounds.
     ``per_tree=False`` skips materializing the per-tree lists (the
     rescore loop of Algorithm 2 only reads the totals) and returns an
-    empty dict in their place.
+    empty dict in their place.  ``view`` is the collection's
+    :class:`~repro.congest.compressed.TreeStack` for the batched engine
+    (built fresh when omitted).
     """
     if net.use_compressed_batched(compress) and coll.trees:
-        xs = list(coll.trees)
-        arrays = collection_arrays(coll, xs)
-        _, depth0, live0 = arrays
-        leaf_vals = ((depth0 == coll.h) & live0).astype(np.float64)
-        acc, depth, live, stats = batched_subtree_sums(
-            net, coll, xs, leaf_vals, label, arrays=arrays
-        )
+        view = view or TreeStack(coll)
+        live = view.live()
+        leaf_vals = ((view.depth == coll.h) & live).astype(np.float64)
+        acc, stats = batched_subtree_sums(net, view, leaf_vals, label)
         tree_sums = (
-            {x: acc[i].tolist() for i, x in enumerate(xs)} if per_tree else {}
+            {x: acc[i].tolist() for i, x in enumerate(view.xs)}
+            if per_tree else {}
         )
-        counted = live & (depth >= 1)
-        score = np.where(counted, acc, 0.0).sum(axis=0).tolist()
+        score = _counted_total(view, live, acc)
         stats.label = label
         return score, tree_sums, stats
     total = RoundStats(label=label)
@@ -337,6 +309,52 @@ def compute_scores(
     return score, tree_sums, total
 
 
+def _counted_total(view: TreeStack, live: "np.ndarray",
+                   acc: "np.ndarray") -> List[float]:
+    """Per-node sum of ``acc`` over the trees where the node counts.
+
+    A node counts in a tree where it is live at depth >= 1 (hyperedges
+    exclude the root slot).
+    """
+    return np.where(live & (view.depth >= 1), acc, 0.0).sum(axis=0).tolist()
+
+
+def score_ij_rows(
+    net: CongestNetwork,
+    coll: CSSSPCollection,
+    view: TreeStack,
+    pij: "np.ndarray",
+    label: str = "score-ij",
+    compress: Optional[bool] = None,
+) -> Tuple[List[float], RoundStats]:
+    """:func:`compute_score_ij` with ``P_ij`` as a ``(T, n)`` leaf mask.
+
+    ``pij[i, leaf]`` marks the leaves of tree ``view.xs[i]`` whose path is
+    in ``P_ij``.  Trees without such a leaf stay silent; in the batched
+    engine the rest run as one phase over that row selection of ``view``.
+    """
+    has = pij.any(axis=1)
+    if net.use_compressed_batched(compress) and has.any():
+        sub = view.select(has)
+        acc, stats = batched_subtree_sums(
+            net, sub, pij[has].astype(np.float64), label)
+        stats.label = label
+        return _counted_total(sub, sub.live(), acc), stats
+    total = RoundStats(label=label)
+    score = [0.0] * coll.n
+    for i in np.flatnonzero(has).tolist():
+        x = view.xs[i]
+        sums, stats = subtree_sums(
+            net, coll, x, pij[i].astype(np.float64).tolist(),
+            label=f"{label}({x})", compress=compress)
+        total.merge(stats)
+        t = coll.trees[x]
+        for v in range(coll.n):
+            if t.depth[v] >= 1 and not t.removed[v]:
+                score[v] += sums[v]
+    return score, total
+
+
 def compute_score_ij(
     net: CongestNetwork,
     coll: CSSSPCollection,
@@ -348,36 +366,14 @@ def compute_score_ij(
 
     ``pij_leaf[x]`` lists the leaves of ``T_x`` whose path is in ``P_ij``
     (each leaf knows this locally after Compute-Pij).  Same convergecast as
-    :func:`compute_scores`, ``O(|S| \\cdot h)`` rounds.
+    :func:`compute_scores`, ``O(|S| \\cdot h)`` rounds.  The Algorithm-2
+    driver passes ``P_ij`` as a leaf mask through :func:`score_ij_rows`.
     """
-    xs = [x for x in coll.trees if pij_leaf.get(x)]
-    if net.use_compressed_batched(compress) and xs:
-        vals = np.zeros((len(xs), coll.n))
-        for i, x in enumerate(xs):
-            vals[i, pij_leaf[x]] = 1.0
-        acc, depth, live, stats = batched_subtree_sums(
-            net, coll, xs, vals, label
-        )
-        counted = live & (depth >= 1)
-        score = np.where(counted, acc, 0.0).sum(axis=0).tolist()
-        stats.label = label
-        return score, stats
-    total = RoundStats(label=label)
-    score = [0.0] * coll.n
-    for x in coll.trees:
-        values = [0.0] * coll.n
-        for leaf in pij_leaf.get(x, ()):
-            values[leaf] = 1.0
-        if not pij_leaf.get(x):
-            continue
-        sums, stats = subtree_sums(net, coll, x, values, label=f"{label}({x})",
-                                   compress=compress)
-        total.merge(stats)
-        t = coll.trees[x]
-        for v in range(coll.n):
-            if t.depth[v] >= 1 and not t.removed[v]:
-                score[v] += sums[v]
-    return score, total
+    view = TreeStack(coll)
+    pij = np.zeros(view.depth.shape, dtype=bool)
+    for x, leaves in pij_leaf.items():
+        pij[view.row[x], leaves] = True
+    return score_ij_rows(net, coll, view, pij, label, compress)
 
 
 __all__ = [
@@ -385,5 +381,6 @@ __all__ = [
     "compute_score_ij",
     "compute_scores",
     "leaf_indicators",
+    "score_ij_rows",
     "subtree_sums",
 ]

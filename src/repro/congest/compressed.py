@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -301,35 +300,100 @@ class CompressedSequence(CompressedPhase):
         return [p.evaluate(net) for p in self.phases]
 
 
-def collection_arrays(coll, xs: Sequence[int]):
-    """Cached stacked ``(parent, depth, live)`` arrays for a collection.
+def edge_counts(
+    src: "np.ndarray", dst: "np.ndarray", n: int
+) -> Dict[Tuple[int, int], int]:
+    """``{(u, v): sends}`` of parallel sender / receiver arrays, key-sorted."""
+    keys, counts = np.unique(src * n + dst, return_counts=True)
+    return dict(zip(zip((keys // n).tolist(), (keys % n).tolist()),
+                    counts.tolist()))
 
-    A tree's ``parent`` / ``depth`` rows are immutable after construction
-    (pruning flips ``removed`` flags, never the pointers — see
-    :class:`~repro.csssp.collection.TreeView`), so the stacked int arrays
-    are built once per ``(collection, xs)`` — cached per ``xs`` tuple, as
-    the blocker loop alternates between the full tree list and pij
-    subsets — and only the cheap boolean ``removed`` stack is re-read on
-    every call.
+
+class TreeStack:
+    """A collection's trees stacked as ``(T, n)`` arrays, for batched phases.
+
+    Row ``i`` is tree ``xs[i]`` (all trees, in collection order, unless
+    ``xs`` is given).  ``parent`` and ``depth`` never change after
+    construction (pruning detaches subtrees, it never moves a pointer), so
+    the depth order of every in-tree non-root coordinate is computed once:
+    ``kid`` / ``par`` are the flat ``row * n + node`` indices of each such
+    node and of its parent, sorted by depth, and level ``d`` (``1 <= d <=
+    h``) spans ``kid[levels[d - 1]:levels[d]]``.  A batched kernel filters
+    that order by :meth:`live_kids` instead of re-deriving it per call.
+
+    ``removed`` is authoritative for the batched kernels: whoever detaches
+    nodes through a view (:func:`repro.csssp.pruning.remove_subtrees_sequential`)
+    sets them here as well as in the :class:`~repro.csssp.collection.TreeView`
+    lists, which selectors and diagnostics still read.  A view built from a
+    collection is only valid while every removal goes through it.
     """
-    key = tuple(xs)
-    cache = getattr(coll, "_stacked_static", None)
-    if cache is None:
-        cache = coll._stacked_static = {}
-    entry = cache.get(key)
-    if entry is None:
-        trees = [coll.trees[x] for x in key]
-        parent = np.asarray([t.parent for t in trees], dtype=np.int64)
-        depth = np.asarray([t.depth for t in trees], dtype=np.int64)
-        cache[key] = entry = (parent, depth)
-    parent, depth = entry
-    removed = np.fromiter(
-        chain.from_iterable(coll.trees[x].removed for x in key),
-        dtype=bool,
-        count=len(key) * depth.shape[1] if len(key) else 0,
-    ).reshape(depth.shape)
-    live = (depth >= 0) & ~removed
-    return parent, depth, live
+
+    def __init__(self, coll, xs: Optional[Sequence[int]] = None) -> None:
+        self.xs: List[int] = list(coll.trees) if xs is None else list(xs)
+        trees = [coll.trees[x] for x in self.xs]
+        shape = (len(trees), coll.n)
+        self.n, self.h = coll.n, coll.h
+        self.parent = np.array([t.parent for t in trees],
+                               dtype=np.int64).reshape(shape)
+        self.depth = np.array([t.depth for t in trees],
+                              dtype=np.int64).reshape(shape)
+        self.removed = np.array([t.removed for t in trees],
+                                dtype=bool).reshape(shape)
+        rows, cols = np.nonzero(self.depth >= 1)
+        d = self.depth[rows, cols]
+        order = np.argsort(d, kind="stable")
+        self._index(rows[order], cols[order], d[order])
+
+    def _index(self, rows, cols, depths) -> None:
+        """Set the row index and the depth order from sorted coordinates."""
+        n = self.n
+        self.kid_rows, self.kid_cols = rows, cols
+        self.kid_pcols = self.parent[rows, cols]
+        self.kid = rows * n + cols
+        self.par = rows * n + self.kid_pcols
+        self.kid_depth = depths
+        self.levels = np.searchsorted(depths, np.arange(1, self.h + 2))
+        self.row = {x: i for i, x in enumerate(self.xs)}
+
+    def select(self, keep: "np.ndarray") -> "TreeStack":
+        """The rows where ``keep`` (a ``(T,)`` bool mask) holds, as a view.
+
+        Equal to a fresh ``TreeStack(coll, selected xs)`` — the depth order
+        is filtered and renumbered, not recomputed.  The ``removed`` rows are
+        a snapshot: the selection is for reading within one phase.
+        """
+        sub = TreeStack.__new__(TreeStack)
+        sub.n, sub.h = self.n, self.h
+        sub.xs = [x for x, k in zip(self.xs, keep.tolist()) if k]
+        sub.parent = self.parent[keep]
+        sub.depth = self.depth[keep]
+        sub.removed = self.removed[keep]
+        renumber = np.cumsum(keep) - 1
+        pick = keep[self.kid_rows]
+        sub._index(renumber[self.kid_rows[pick]], self.kid_cols[pick],
+                   self.kid_depth[pick])
+        return sub
+
+    def live(self) -> "np.ndarray":
+        """``(T, n)`` mask of nodes in their tree and not detached."""
+        return (self.depth >= 0) & ~self.removed
+
+    def live_kids(self) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Positions (into the depth order) of live non-root nodes.
+
+        Returns ``(pos, levels)``: ``pos`` ascending, and level ``d`` of the
+        filtered order spanning ``pos[levels[d - 1]:levels[d]]``.
+        """
+        pos = np.flatnonzero(~self.removed.ravel()[self.kid])
+        return pos, np.searchsorted(pos, self.levels)
+
+    def leaf_lists(self, mask: "np.ndarray") -> Dict[int, List[int]]:
+        """``{x: ascending nodes v with mask[row(x), v]}`` for every row."""
+        rows, cols = np.nonzero(mask)
+        bounds = np.searchsorted(rows, np.arange(len(self.xs) + 1)).tolist()
+        cols_l = cols.tolist()
+        return {x: cols_l[bounds[i]:bounds[i + 1]]
+                for i, x in enumerate(self.xs)}
 
 
 #: Sentinel for the end-of-stream marker in :func:`simulate_upcast`.
@@ -504,10 +568,11 @@ def simulate_round_robin(
 __all__ = [
     "CompressedPhase",
     "CompressedSequence",
-    "collection_arrays",
     "PhaseSchedule",
+    "TreeStack",
     "aggregate_rounds",
     "bottom_up_order",
+    "edge_counts",
     "live_child_counts",
     "max_internal_depth",
     "merge_schedules",

@@ -29,6 +29,7 @@ from repro.congest.compressed import (
     CompressedPhase,
     CompressedSequence,
     PhaseSchedule,
+    TreeStack,
 )
 from repro.congest.metrics import RoundStats
 from repro.congest.network import CongestNetwork
@@ -70,15 +71,18 @@ class _CompressedSubtreeRemove(CompressedPhase):
     another firing node, the notice to it is sent only if the sender is
     processed first that round — i.e. never when the start fired in an
     earlier round, and only for starts with a larger node id when both
-    fire in round 0.
+    fire in round 0.  ``mask`` (the tree's row of a
+    :class:`~repro.congest.compressed.TreeStack` ``removed`` array) is
+    updated alongside the tree's own flags.
     """
 
     def __init__(self, tree, starts: List[int], startset: Set[int],
-                 label: str) -> None:
+                 label: str, mask=None) -> None:
         self.tree = tree
         self.starts = starts
         self.startset = startset
         self.label = label
+        self.mask = mask
         self._fire: Optional[Dict[int, int]] = None
 
     def _solve(self) -> Dict[int, int]:
@@ -126,8 +130,11 @@ class _CompressedSubtreeRemove(CompressedPhase):
 
     def evaluate(self, net: CongestNetwork) -> None:
         t = self.tree
-        for v in self._solve():
+        fire = self._solve()
+        for v in fire:
             t.removed[v] = True
+        if self.mask is not None:
+            self.mask[list(fire)] = True
         return None
 
 
@@ -137,6 +144,7 @@ def remove_subtrees_sequential(
     roots: Iterable[int],
     label: str = "remove-subtrees",
     compress: Optional[bool] = None,
+    view: Optional[TreeStack] = None,
 ) -> RoundStats:
     """Algorithm 6: detach subtrees rooted at ``roots`` in every tree.
 
@@ -144,7 +152,8 @@ def remove_subtrees_sequential(
     (a node never "covers" the paths of its own tree from the root slot).
     One flood phase per source, ``O(h)`` rounds each.  ``compress``
     selects the round-compressed execution mode (default: the network's
-    setting).
+    setting).  ``view``, a :class:`~repro.congest.compressed.TreeStack`
+    of ``coll``, gets the detached nodes set in its ``removed`` mask too.
     """
     rootset = sorted(set(roots))
     compressed = net.use_compressed(compress)
@@ -157,9 +166,10 @@ def remove_subtrees_sequential(
         ]
         if not start_nodes:
             continue
+        mask = None if view is None else view.removed[view.row[x]]
         if compressed:
             phase = _CompressedSubtreeRemove(
-                t, start_nodes, set(start_nodes), f"{label}({x})"
+                t, start_nodes, set(start_nodes), f"{label}({x})", mask
             )
             if batched:
                 # One run_compressed for the whole collection: the
@@ -175,6 +185,8 @@ def remove_subtrees_sequential(
             _SequentialRemoveProgram(v, t, v in startset) for v in range(t.n)
         ]
         total.merge(net.run(programs, label=f"{label}({x})"))
+        if mask is not None:
+            mask[:] = t.removed
     if batch:
         _, stats = net.run_compressed(CompressedSequence(batch, label))
         total.merge(stats)

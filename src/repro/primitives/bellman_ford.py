@@ -24,6 +24,7 @@ compared lexicographically; one label is three CONGEST words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -170,7 +171,8 @@ def _announce_arrays(net: CongestNetwork, graph: Graph, reverse: bool):
 
     For node ``v`` the slice ``off[v]:off[v+1]`` lists the nodes ``v``
     announces to together with the (weight, tie-break) of the connecting
-    edge as the *receiver* sees it in its ``edge_in`` table.  Cached on
+    edge as the *receiver* sees it in its ``edge_in`` table, and the
+    ``(v, target)`` edge keys of per-edge accounting.  Cached on
     the network (one entry per graph and direction) so the hundreds of
     per-source phases of Steps 1/3/7 build them once.
     """
@@ -190,8 +192,26 @@ def _announce_arrays(net: CongestNetwork, graph: Graph, reverse: bool):
     dst = np.fromiter((e[0] for e in flat), dtype=np.int64, count=len(flat))
     w = np.fromiter((e[1] for e in flat), dtype=np.float64, count=len(flat))
     tb = np.fromiter((e[2] for e in flat), dtype=np.int64, count=len(flat))
-    cache[key] = (graph, (off, dst, w, tb))
+    senders = np.repeat(np.arange(graph.n), off[1:] - off[:-1])
+    edge_keys = list(zip(senders.tolist(), dst.tolist()))
+    cache[key] = (graph, (off, dst, w, tb, edge_keys))
     return cache[key][1]
+
+
+def _per_edge_sent(
+    off: "np.ndarray", edge_keys: List[Tuple[int, int]],
+    times_sent: "np.ndarray",
+) -> Dict[Tuple[int, int], int]:
+    """``{(v, u): times_sent[v]}`` over every out-edge of every sender.
+
+    A node announces on all its out-edges each time it sends, so each
+    edge carries its sender's send count.  Keys come in CSR order
+    (ascending sender), picked from the cached ``edge_keys``.
+    """
+    per_edge = np.repeat(times_sent, off[1:] - off[:-1])
+    sent = per_edge > 0
+    return dict(zip(compress(edge_keys, sent.tolist()),
+                    per_edge[sent].tolist()))
 
 
 class _CompressedBellmanFord(CompressedPhase):
@@ -234,7 +254,8 @@ class _CompressedBellmanFord(CompressedPhase):
             return
         graph, h = self.graph, self.h
         n = graph.n
-        off, dst_arr, w_arr, tb_arr = _announce_arrays(net, graph, self.reverse)
+        off, dst_arr, w_arr, tb_arr, edge_keys = _announce_arrays(
+            net, graph, self.reverse)
         labels: List[Cost] = [INF_COST] * n
         label0 = np.full(n, np.inf)
         budget = [0] * n
@@ -320,11 +341,8 @@ class _CompressedBellmanFord(CompressedPhase):
                     for v in range(n) if times_sent[v] and off[v + 1] > off[v]}
         per_edge = None
         if net.track_edges:
-            per_edge = {}
-            for v, t in enumerate(times_sent):
-                if t:
-                    for u in dst_arr[off[v]:off[v + 1]].tolist():
-                        per_edge[(v, u)] = t
+            per_edge = _per_edge_sent(
+                off, edge_keys, np.asarray(times_sent, dtype=np.int64))
         self._sched = PhaseSchedule(
             rounds=last_send + 1,
             messages=messages,
@@ -431,7 +449,8 @@ class _BatchedBellmanFordSolver:
         graph, h = self.graph, self.h
         n = graph.n
         nb = len(self.inits_per_source)
-        off, dst_arr, w_arr, tb_arr = _announce_arrays(net, graph, self.reverse)
+        off, dst_arr, w_arr, tb_arr, edge_keys = _announce_arrays(
+            net, graph, self.reverse)
         fill_equal = self.fill_equal
 
         # All per-(source, node) state lives in flat global index space
@@ -579,11 +598,7 @@ class _BatchedBellmanFordSolver:
             ))
             per_edge = None
             if track_edges:
-                per_edge = {}
-                for v in idx.tolist():
-                    t = int(ts[v])
-                    for u in dst_arr[off[v]:off[v + 1]].tolist():
-                        per_edge[(v, u)] = t
+                per_edge = _per_edge_sent(off, edge_keys, ts)
             self.schedules.append(PhaseSchedule(
                 rounds=int(last_send[b]) + 1,
                 messages=int(messages[b]),

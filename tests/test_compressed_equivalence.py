@@ -21,8 +21,8 @@ import pytest
 from repro.apsp import deterministic_apsp
 from repro.blocker.derandomized import deterministic_blocker_set
 from repro.blocker.helpers import collect_ancestors, compute_vi_counts
-from repro.blocker.randomized import randomized_blocker_set
-from repro.blocker.scores import compute_scores, subtree_sums
+from repro.blocker.randomized import BlockerParams, randomized_blocker_set
+from repro.blocker.scores import compute_score_ij, compute_scores, subtree_sums
 from repro.congest.metrics import PhaseLog
 from repro.congest.network import CongestNetwork
 from repro.csssp.builder import build_csssp
@@ -102,8 +102,12 @@ def assert_stats_equal(oracle, compressed, what=""):
 
 
 def build_collection_pair(graph, h=3, removals=0, seed=0):
-    """Identical CSSSP collections on both engines, optionally pruned."""
-    net_m, net_c = nets(graph)
+    """Identical CSSSP collections on both engines, optionally pruned.
+
+    Both networks track edges, so every phase run on them also compares
+    its per-edge schedule.
+    """
+    net_m, net_c = nets(graph, track_edges=True)
     coll_m, _ = build_csssp(net_m, graph, range(graph.n), h)
     coll_c = coll_m.copy()
     rng = random.Random(seed)
@@ -497,7 +501,8 @@ def test_batched_convergecasts_match_per_phase(family, seed, n, removals):
     graph = make_graph(family, n, seed)
     net_m, net_c, coll_m, coll_c = build_collection_pair(
         graph, removals=removals, seed=seed)
-    net_p = CongestNetwork(graph, compress=True, batch=False)
+    net_p = CongestNetwork(graph, track_edges=True, compress=True,
+                           batch=False)
 
     score_m, per_m, stats_m = compute_scores(net_m, coll_m, compress=False)
     score_p, per_p, stats_p = compute_scores(net_p, coll_c)  # per-phase
@@ -509,27 +514,57 @@ def test_batched_convergecasts_match_per_phase(family, seed, n, removals):
 
     vi = set(random.Random(seed).sample(range(graph.n), graph.n // 3 + 1))
     beta_m, vm = compute_vi_counts(net_m, coll_m, vi, compress=False)
+    beta_p, vp = compute_vi_counts(net_p, coll_c, vi)
     beta_b, vb = compute_vi_counts(net_c, coll_c, vi)
-    assert beta_m == beta_b
+    assert beta_m == beta_p == beta_b
+    assert_stats_equal(vm, vp, "vi-counts per-phase")
     assert_stats_equal(vm, vb, "vi-counts batched")
+
+    pij_leaf = {x: [v for v, b in leaves.items() if b >= 1]
+                for x, leaves in beta_m.items()}
+    sij_m, sm = compute_score_ij(net_m, coll_m, pij_leaf, compress=False)
+    sij_p, sp = compute_score_ij(net_p, coll_c, pij_leaf)
+    sij_b, sb = compute_score_ij(net_c, coll_c, pij_leaf)
+    assert sij_m == sij_p == sij_b
+    assert_stats_equal(sm, sp, "score-ij per-phase")
+    assert_stats_equal(sm, sb, "score-ij batched")
 
 
 # ---------------------------------------------------------------------------
 # end to end
 
 
+def assert_logs_equal(oracle, compressed, what=""):
+    """Every PhaseLog entry agrees: label, rounds, messages, per-node and
+    per-edge sends."""
+    entries_m, entries_c = list(oracle), list(compressed)
+    assert [label for label, _ in entries_m] == [
+        label for label, _ in entries_c], f"{what}: phase labels diverged"
+    for i, ((label, sm), (_, sc)) in enumerate(zip(entries_m, entries_c)):
+        assert sm.label == sc.label, f"{what}: entry {i} stats label"
+        assert_stats_equal(sm, sc, f"{what}: entry {i} ({label})")
+
+
 @pytest.mark.parametrize("family,seed,n", cases(sizes=(20,)))
 @pytest.mark.parametrize(
-    "construct", [deterministic_blocker_set, randomized_blocker_set],
-    ids=["derandomized", "randomized"])
-def test_blocker_construction_equivalent(family, seed, n, construct):
+    "construct,force",
+    [(deterministic_blocker_set, False), (randomized_blocker_set, False),
+     (deterministic_blocker_set, True), (randomized_blocker_set, True)],
+    ids=["derandomized", "randomized",
+         "derandomized-forced-selection", "randomized-forced-selection"])
+def test_blocker_construction_equivalent(family, seed, n, construct, force):
+    """Step 2 phase by phase; ``forced-selection`` skips the heavy-node
+    branch so every pick runs the good-set selector, which reads the
+    TreeView flags the batched removals mirror."""
     graph = make_graph(family, n, seed)
     net_m, net_c, coll_m, coll_c = build_collection_pair(graph)
-    res_m = construct(net_m, coll_m)
-    res_c = construct(net_c, coll_c)
+    params = BlockerParams(force_selection=force)
+    res_m = construct(net_m, coll_m, params)
+    res_c = construct(net_c, coll_c, params)
     assert res_m.blockers == res_c.blockers
-    assert [(p.kind, p.added) for p in res_m.picks] == [
-        (p.kind, p.added) for p in res_c.picks]
+    # repr: good_fraction is NaN for randomized picks (NaN != NaN)
+    assert repr(res_m.picks) == repr(res_c.picks)
+    assert_logs_equal(res_m.log, res_c.log, "blocker")
     assert_stats_equal(res_m.stats, res_c.stats, "blocker")
 
 

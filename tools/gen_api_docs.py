@@ -37,7 +37,7 @@ API = [
                               "FaultPlan.from_trace",
                               "FaultTrace", "FaultsUnsupported"]),
     ("repro.congest.compressed", ["CompressedPhase", "PhaseSchedule",
-                                  "simulate_upcast"]),
+                                  "TreeStack", "simulate_upcast"]),
     ("repro.primitives.bellman_ford", ["bellman_ford", "SSSPResult"]),
     ("repro.apsp.driver", ["three_phase_apsp", "default_h"]),
     ("repro.apsp.closure", ["local_closure"]),
